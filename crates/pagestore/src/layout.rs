@@ -221,7 +221,7 @@ impl<R: Record> BlockList<R> {
     }
 
     /// The page ids of every block in chain order (`page_count` I/Os);
-    /// used once at build time to construct directories.
+    /// used by free-walks that must name a list's pages before freeing.
     pub fn block_pages(&self, store: &PageStore) -> Result<Vec<PageId>> {
         let mut out = Vec::new();
         let mut cur = self.head;

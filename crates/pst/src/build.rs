@@ -173,7 +173,12 @@ pub struct PointsPage {
 /// Reads and decodes a points page (one I/O).
 pub fn read_points_page(store: &PageStore, id: PageId) -> Result<PointsPage> {
     let page = store.read(id)?;
-    let mut r = PageReader::new(&page);
+    decode_points_page(&mut PageReader::new(&page))
+}
+
+/// Decodes a points page's header and points, leaving `r` just past the
+/// last point (where the 3-sided node page keeps its cache directory).
+pub(crate) fn decode_points_page(r: &mut PageReader<'_>) -> Result<PointsPage> {
     let count = r.get_u16()? as usize;
     let left_pts = PageId(r.get_u64()?);
     let right_pts = PageId(r.get_u64()?);
@@ -181,7 +186,7 @@ pub fn read_points_page(store: &PageStore, id: PageId) -> Result<PointsPage> {
     let right_cnt = r.get_u16()?;
     let mut points = Vec::with_capacity(count);
     for _ in 0..count {
-        points.push(Point::decode(&mut r)?);
+        points.push(Point::decode(r)?);
     }
     Ok(PointsPage { points, left_pts, right_pts, left_cnt, right_cnt })
 }
@@ -347,18 +352,29 @@ pub(crate) fn paginate(mem: &MemPst, cap: usize) -> (Vec<Vec<usize>>, Vec<(usize
 /// Writes one points page per region (child links included) and returns
 /// the page ids, indexed by arena position.
 pub(crate) fn write_points_pages(store: &PageStore, mem: &MemPst) -> Result<Vec<PageId>> {
-    let page_size = store.page_size();
     let pts_ids: Vec<PageId> =
         mem.nodes.iter().map(|_| store.alloc()).collect::<Result<_>>()?;
-    let mut buf = vec![0u8; page_size];
+    write_node_pages(store, mem, &pts_ids, |_, _| Ok(()))?;
+    Ok(pts_ids)
+}
+
+/// Writes region `i`'s points page to `ids[i]` for every region, letting
+/// `trailer` append per-region bytes after the points.
+pub(crate) fn write_node_pages(
+    store: &PageStore,
+    mem: &MemPst,
+    ids: &[PageId],
+    mut trailer: impl FnMut(usize, &mut PageWriter<'_>) -> Result<()>,
+) -> Result<()> {
+    let mut buf = vec![0u8; store.page_size()];
     for (i, node) in mem.nodes.iter().enumerate() {
         let (lp, lc, rp, rc) = if node.is_leaf() {
             (NULL_PAGE, 0u16, NULL_PAGE, 0u16)
         } else {
             (
-                pts_ids[node.left],
+                ids[node.left],
                 mem.nodes[node.left].points.len() as u16,
-                pts_ids[node.right],
+                ids[node.right],
                 mem.nodes[node.right].points.len() as u16,
             )
         };
@@ -372,11 +388,12 @@ pub(crate) fn write_points_pages(store: &PageStore, mem: &MemPst) -> Result<Vec<
             for p in &node.points {
                 p.encode(&mut w)?;
             }
+            trailer(i, &mut w)?;
             w.position()
         };
-        store.write(pts_ids[i], &buf[..used])?;
+        store.write(ids[i], &buf[..used])?;
     }
-    Ok(pts_ids)
+    Ok(())
 }
 
 macro_rules! pst_variant {

@@ -781,13 +781,9 @@ impl DynamicThreeSidedPst {
         for page in self.buffer.drain(..) {
             store.free(page)?;
         }
-        // Note: the old static structure's pages are leaked into the store
-        // (the static type has no free-walk); experiments build dynamic
-        // 3-sided structures in dedicated stores and measure I/O, not
-        // residual space. The 2-sided DynamicPst does free everything.
         let points: Vec<Point> = live.into_values().collect();
-        self.inner = ThreeSidedPst::build(store, &points)?;
-        Ok(())
+        let old = std::mem::replace(&mut self.inner, ThreeSidedPst::build(store, &points)?);
+        old.free(store)
     }
 
     /// Answers a 3-sided query, merging buffered updates (the static query
@@ -1048,5 +1044,45 @@ mod tests {
             }
             assert_eq!(pst.len(), oracle.len() as u64, "step {step}");
         }
+    }
+
+    #[test]
+    fn dynamic_three_sided_rebuilds_free_the_old_structure() {
+        // Pages of a fresh static build over `points`.
+        let fresh_pages = |points: &HashMap<u64, Point>| {
+            let fresh = PageStore::in_memory(512);
+            ThreeSidedPst::build(&fresh, &points.values().copied().collect::<Vec<_>>()).unwrap();
+            fresh.live_pages()
+        };
+        let store = PageStore::in_memory(512);
+        let initial = random_points(2000, 10_000, 8);
+        let mut pst = DynamicThreeSidedPst::build(&store, &initial).unwrap();
+        let mut live: HashMap<u64, Point> = initial.iter().map(|p| (p.id, *p)).collect();
+        let mut s = 0xf4eeu64;
+        let mut next_id = 70_000u64;
+        let mut rebuilds = 0;
+        while rebuilds < 6 {
+            if xorshift(&mut s, 4) < 3 {
+                let p = Point::new(xorshift(&mut s, 10_000), xorshift(&mut s, 10_000), next_id);
+                next_id += 1;
+                pst.insert(&store, p).unwrap();
+                live.insert(p.id, p);
+            } else {
+                let id = *live.keys().next().unwrap();
+                pst.delete(&store, live.remove(&id).unwrap()).unwrap();
+            }
+            if pst.buffered.is_empty() {
+                rebuilds += 1;
+                assert_eq!(store.live_pages(), fresh_pages(&live), "rebuild {rebuilds} leaked");
+            }
+        }
+        // Between rebuilds the store holds one build plus the buffer.
+        for _ in 0..pst.buffer_cap / 2 {
+            let p = Point::new(xorshift(&mut s, 10_000), xorshift(&mut s, 10_000), next_id);
+            next_id += 1;
+            pst.insert(&store, p).unwrap();
+        }
+        assert!(!pst.buffer.is_empty());
+        assert_eq!(store.live_pages(), fresh_pages(&live) + pst.buffer.len() as u64);
     }
 }

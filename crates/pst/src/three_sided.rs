@@ -16,25 +16,29 @@
 //!
 //! The extended abstract defers the construction; we realize it as:
 //!
-//! * **Mirrored A-lists with directories.** Every node carries its
-//!   in-segment ancestors' points twice: descending x (for the left path)
-//!   and ascending x (for the right path). Each list has a one-block
-//!   *directory* mapping block → (boundary x, page id), so a query jumps
-//!   straight to the start of its qualifying run in one I/O — this is how
-//!   shared-prefix ancestors are handled without scanning their
-//!   out-of-range prefix.
+//! * **One A-list, indexed from the node page.** Every node carries its
+//!   in-segment ancestors' points once, in descending x, each tagged with
+//!   the ancestor's in-page depth. The node's own points page ends with a
+//!   *cache directory* listing every A-block's `(max x, min x, page id)`,
+//!   so a walk that has read the node reads exactly the blocks meeting
+//!   `[x1, x2]` — for the left path, the right path and the shared prefix
+//!   alike, with no directory page of its own. This is how shared-prefix
+//!   ancestors are handled without scanning their out-of-range prefix.
 //! * **Threshold-indexed S-lists.** A sibling of a *shared* node lies
 //!   wholly outside the query band, so the S-cache must exclude ancestors
 //!   above the split. We store one S-list per possible in-page split depth
 //!   `j` (`S_j` = right siblings of in-page ancestors at in-page depth
-//!   `>= j`, descending y) and the mirrored `S'_j` for left siblings.
-//!   This family of up to `h` lists per node, each up to `h` blocks, is
-//!   exactly the paper's extra `log B` space factor: total space
-//!   `O((n/B)·log² B)`.
+//!   `>= j`, descending y) and the mirrored `S'_j` for left siblings; their
+//!   handles follow the A-blocks in the node page's directory. This family
+//!   of up to `h` lists per node, each up to `h` blocks, is exactly the
+//!   paper's extra `log B` space factor: total space `O((n/B)·log² B)`.
 //!
-//! Queries read, per skeletal page on each path: one A-directory, the run
-//! blocks (all answers but ≤ 2 partials), one S-directory page, one `S_j`
-//! prefix, and the exit's own block — `O(1)` overhead per segment, hence
+//! The directory costs the node page some points: [`node_capacity`] is the
+//! most points that leave room for the deepest node's directory.
+//!
+//! Queries read, per skeletal page on each path: the exit's node page
+//! (points and directory), the run blocks (all answers but ≤ 2 partials),
+//! and one `S_j` prefix — `O(1)` overhead per segment, hence
 //! `O(log_B n + t/B)` total.
 
 use std::collections::HashMap;
@@ -43,7 +47,10 @@ use pc_pagestore::codec::{PageReader, PageWriter};
 use pc_pagestore::layout::BlockList;
 use pc_pagestore::{Page, PageId, PageStore, Point, Record, Result, NULL_PAGE};
 
-use crate::build::{paginate, points_capacity, read_points_page, write_points_pages, NodeRef, SEntry};
+use crate::build::{
+    decode_points_page, paginate, points_capacity, write_node_pages, NodeRef, SEntry,
+    POINTS_HEADER,
+};
 use crate::mem::{cmp_x, cmp_y, MemPst, NONE};
 use crate::query::{traverse_descendants, QueryCounters};
 
@@ -67,14 +74,56 @@ impl ThreeSided {
 }
 
 /// Byte size of one 3-sided skeletal record.
-pub const RECORD_LEN: usize = 24 + 24 + 10 + 10 + 8 + 2 + 10 + 10 + 16 + 8 + 16 + 8 + 8;
+pub const RECORD_LEN: usize = 24 + 24 + 10 + 10 + 8 + 2 + 10 + 10;
 const PAGE_HEADER: usize = 2;
+/// Bytes of skeletal page per record when sizing a page's segment. It is
+/// larger than [`RECORD_LEN`] on purpose: the S-families grow with the
+/// square of the in-page depth, so packing more records per page (deeper
+/// segments) costs more space than it saves. 154 bytes gives 26 records
+/// at 4 KiB and 3 at 512 B.
+const RECORD_STRIDE: usize = 154;
 
 /// Records per skeletal page.
 pub fn skeletal_capacity(page_size: usize) -> usize {
-    let cap = (page_size - PAGE_HEADER) / RECORD_LEN;
+    let cap = (page_size - PAGE_HEADER) / RECORD_STRIDE;
     assert!(cap >= 3, "page size {page_size} too small for a 3-sided PST page");
     cap
+}
+
+/// Deepest in-page depth a skeletal page of `cap` records holds. Pages
+/// fill breadth-first from their root, and the decomposition splits at
+/// the median so its leaves lie on two adjacent levels. Levels
+/// `0..=⌊log₂ cap⌋` have room for at least `cap` nodes, so a page fills
+/// up (or holds its whole subtree) before it reaches a deeper level.
+fn max_inpage_depth(cap: usize) -> usize {
+    cap.ilog2() as usize
+}
+
+/// One A-block directory entry: `(max x: i64, min x: i64, page: u64)`.
+const A_ENTRY_LEN: usize = 8 + 8 + 8;
+/// One S-family directory entry: the `(S_j, S'_j)` handles.
+const S_ENTRY_LEN: usize = 2 * BlockList::<SEntry>::ENCODED_LEN;
+
+/// Byte size of a cache directory with `a_blocks` A-blocks and `s_lists`
+/// S-family entries (two `u16` counts plus the entries).
+fn directory_len(a_blocks: usize, s_lists: usize) -> usize {
+    2 + a_blocks * A_ENTRY_LEN + 2 + s_lists * S_ENTRY_LEN
+}
+
+/// Points per node page: the most that leave room, after the points, for
+/// the directory of a node at the deepest in-page depth (whose A-list
+/// holds that many full ancestors).
+pub fn node_capacity(page_size: usize) -> usize {
+    let depth = max_inpage_depth(skeletal_capacity(page_size));
+    let block = BlockList::<SEntry>::capacity(page_size);
+    let fits = |cap: usize| {
+        POINTS_HEADER
+            + cap * Point::ENCODED_LEN
+            + directory_len((depth * cap).div_ceil(block), depth)
+            <= page_size
+    };
+    let cap = (2..=points_capacity(page_size)).rev().find(|&c| fits(c));
+    cap.unwrap_or_else(|| panic!("page size {page_size} too small for a 3-sided node page"))
 }
 
 #[derive(Debug, Clone)]
@@ -89,11 +138,6 @@ struct TsRecord {
     left_cnt: u16,
     right_pts: PageId,
     right_cnt: u16,
-    a_desc: BlockList<SEntry>,
-    a_desc_dir: PageId,
-    a_asc: BlockList<SEntry>,
-    a_asc_dir: PageId,
-    s_dir: PageId,
 }
 
 fn decode_record(page: &[u8], slot: u16) -> Result<TsRecord> {
@@ -110,53 +154,74 @@ fn decode_record(page: &[u8], slot: u16) -> Result<TsRecord> {
         left_cnt: r.get_u16()?,
         right_pts: PageId(r.get_u64()?),
         right_cnt: r.get_u16()?,
-        a_desc: BlockList::decode(&mut r)?,
-        a_desc_dir: PageId(r.get_u64()?),
-        a_asc: BlockList::decode(&mut r)?,
-        a_asc_dir: PageId(r.get_u64()?),
-        s_dir: PageId(r.get_u64()?),
     })
 }
 
-/// Writes a list directory: `[count u16][(boundary_x i64, page u64) *]`,
-/// where `boundary_x` is the x of the block's **last** entry.
-fn write_directory(
-    store: &PageStore,
-    list: &BlockList<SEntry>,
-    entries: &[SEntry],
-) -> Result<PageId> {
-    if list.is_empty() {
-        return Ok(NULL_PAGE);
-    }
-    let pages = list.block_pages(store)?;
-    let cap = BlockList::<SEntry>::capacity(store.page_size());
-    let id = store.alloc()?;
-    let mut buf = vec![0u8; store.page_size()];
-    let used = {
-        let mut w = PageWriter::new(&mut buf);
-        w.put_u16(pages.len() as u16)?;
-        for (j, pid) in pages.iter().enumerate() {
-            let last_idx = ((j + 1) * cap - 1).min(entries.len() - 1);
-            w.put_i64(entries[last_idx].p.x)?;
-            w.put_u64(pid.0)?;
-        }
-        w.position()
-    };
-    store.write(id, &buf[..used])?;
-    Ok(id)
+/// A node's cache directory, stored after the points on its node page:
+///
+/// ```text
+/// [a_blocks: u16][(max_x: i64, min_x: i64, page: u64) * a_blocks]
+/// [s_lists: u16][(S_j: BlockList, S'_j: BlockList) * s_lists]
+/// ```
+///
+/// A-blocks are in descending x; `S_j` sits at index `j`, and there is one
+/// per in-page ancestor.
+#[derive(Debug, Clone, Default)]
+struct Directory {
+    a_blocks: Vec<(i64, i64, PageId)>,
+    s_family: Vec<(BlockList<SEntry>, BlockList<SEntry>)>,
 }
 
-fn read_directory(store: &PageStore, id: PageId) -> Result<Vec<(i64, PageId)>> {
+impl Directory {
+    fn encode(&self, w: &mut PageWriter<'_>) -> Result<()> {
+        w.put_u16(self.a_blocks.len() as u16)?;
+        for &(max_x, min_x, page) in &self.a_blocks {
+            w.put_i64(max_x)?;
+            w.put_i64(min_x)?;
+            w.put_u64(page.0)?;
+        }
+        w.put_u16(self.s_family.len() as u16)?;
+        for (right_sibs, left_sibs) in &self.s_family {
+            right_sibs.encode(w)?;
+            left_sibs.encode(w)?;
+        }
+        Ok(())
+    }
+
+    fn decode(r: &mut PageReader<'_>) -> Result<Self> {
+        let a_count = r.get_u16()? as usize;
+        let mut a_blocks = Vec::with_capacity(a_count);
+        for _ in 0..a_count {
+            a_blocks.push((r.get_i64()?, r.get_i64()?, PageId(r.get_u64()?)));
+        }
+        let s_count = r.get_u16()? as usize;
+        let mut s_family = Vec::with_capacity(s_count);
+        for _ in 0..s_count {
+            s_family.push((BlockList::decode(r)?, BlockList::decode(r)?));
+        }
+        Ok(Directory { a_blocks, s_family })
+    }
+}
+
+/// Reads a node page: its points (descending y) and its cache directory.
+fn read_node_page(store: &PageStore, id: PageId) -> Result<(Vec<Point>, Directory)> {
     let page = store.read(id)?;
     let mut r = PageReader::new(&page);
-    let count = r.get_u16()? as usize;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let x = r.get_i64()?;
-        let pid = PageId(r.get_u64()?);
-        out.push((x, pid));
-    }
-    Ok(out)
+    let points = decode_points_page(&mut r)?.points;
+    Ok((points, Directory::decode(&mut r)?))
+}
+
+/// What a page of a [`ThreeSidedPst`] holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PageKind {
+    /// Skeletal (navigation) records.
+    Skeletal,
+    /// A node's points and cache directory.
+    Node,
+    /// One block of a node's A-list.
+    ABlock,
+    /// One block of an S-family list.
+    SBlock,
 }
 
 /// External PST for 3-sided queries: `O(log_B n + t/B)` I/Os,
@@ -170,118 +235,90 @@ impl ThreeSidedPst {
     /// Builds the structure over `points`.
     pub fn build(store: &PageStore, points: &[Point]) -> Result<Self> {
         let page_size = store.page_size();
-        let mem = MemPst::build(points, points_capacity(page_size));
-        let pts_ids = write_points_pages(store, &mem)?;
+        let mem = MemPst::build(points, node_capacity(page_size));
+        let node_ids: Vec<PageId> =
+            mem.nodes.iter().map(|_| store.alloc()).collect::<Result<_>>()?;
         let (pages, node_loc) = paginate(&mem, skeletal_capacity(page_size));
         let page_ids: Vec<PageId> =
             pages.iter().map(|_| store.alloc()).collect::<Result<_>>()?;
+        let block_cap = BlockList::<SEntry>::capacity(page_size);
+        let max_depth = max_inpage_depth(skeletal_capacity(page_size));
+        let mut dirs = vec![Directory::default(); mem.nodes.len()];
 
-        let n_nodes = mem.nodes.len();
-        let mut a_desc = vec![BlockList::empty(); n_nodes];
-        let mut a_desc_dir = vec![NULL_PAGE; n_nodes];
-        let mut a_asc = vec![BlockList::empty(); n_nodes];
-        let mut a_asc_dir = vec![NULL_PAGE; n_nodes];
-        let mut s_dir = vec![NULL_PAGE; n_nodes];
-
-        // DFS with in-page chains: (arena idx, abs depth, in-page depth,
-        // went_left).
+        // DFS with in-page chains: (arena idx, in-page depth, went_left).
         struct Frame {
             node: usize,
-            depth: u16,
-            chain: Vec<(usize, u16, u16, bool)>,
+            chain: Vec<(usize, u16, bool)>,
         }
-        let mut stack = vec![Frame { node: 0, depth: 0, chain: Vec::new() }];
-        let mut buf = vec![0u8; page_size];
-        while let Some(Frame { node, depth, chain }) = stack.pop() {
-            // A-lists: every in-page strict ancestor's points, both
-            // orders, tagged with the ancestor's in-page depth so boundary
-            // walks can skip shared ancestors already reported by the
-            // shared phase.
+        let mut stack = vec![Frame { node: 0, chain: Vec::new() }];
+        while let Some(Frame { node, chain }) = stack.pop() {
+            // `node_capacity` left room for this depth's directory.
+            assert!(chain.len() <= max_depth, "in-page depth {} > {max_depth}", chain.len());
+            let dir = &mut dirs[node];
+            // A-list: every in-page strict ancestor's points, descending x,
+            // tagged with the ancestor's in-page depth so boundary walks
+            // can skip shared ancestors already reported by the shared
+            // phase. Each block is written alone: the directory, not a
+            // chain link, leads to it.
             let mut a: Vec<SEntry> = Vec::new();
-            for &(anc, _, inpage_depth, _) in &chain {
+            for &(anc, inpage_depth, _) in &chain {
                 a.extend(
                     mem.nodes[anc].points.iter().map(|&p| SEntry { p, depth: inpage_depth }),
                 );
             }
             a.sort_unstable_by(|p, q| cmp_x(&q.p, &p.p));
-            a_desc[node] = BlockList::build(store, &a)?;
-            a_desc_dir[node] = write_directory(store, &a_desc[node], &a)?;
-            a.reverse();
-            a_asc[node] = BlockList::build(store, &a)?;
-            a_asc_dir[node] = write_directory(store, &a_asc[node], &a)?;
+            for block in a.chunks(block_cap) {
+                let page = BlockList::build(store, block)?.head();
+                dir.a_blocks.push((block[0].p.x, block[block.len() - 1].p.x, page));
+            }
 
-            // Threshold-indexed S-families.
-            if !chain.is_empty() {
-                let max_j = chain.len(); // == in-page depth of `node`
-                let mut handles: Vec<(BlockList<SEntry>, BlockList<SEntry>)> =
-                    Vec::with_capacity(max_j);
-                for j in 0..max_j as u16 {
-                    let mut right_sibs: Vec<SEntry> = Vec::new();
-                    let mut left_sibs: Vec<SEntry> = Vec::new();
-                    for &(anc, _abs_depth, inpage_depth, went_left) in &chain {
-                        if inpage_depth < j {
-                            continue;
-                        }
-                        // Tag with the *in-page* depth: within one page the
-                        // chain is a path, so in-page depth uniquely names
-                        // the ancestor, and the query walk can reconstruct
-                        // it without knowing absolute depths.
-                        if went_left {
-                            let sib = mem.nodes[anc].right;
-                            right_sibs.extend(
-                                mem.nodes[sib]
-                                    .points
-                                    .iter()
-                                    .map(|&p| SEntry { p, depth: inpage_depth }),
-                            );
-                        } else {
-                            let sib = mem.nodes[anc].left;
-                            left_sibs.extend(
-                                mem.nodes[sib]
-                                    .points
-                                    .iter()
-                                    .map(|&p| SEntry { p, depth: inpage_depth }),
-                            );
-                        }
+            // Threshold-indexed S-families, one per in-page ancestor.
+            for j in 0..chain.len() as u16 {
+                let mut right_sibs: Vec<SEntry> = Vec::new();
+                let mut left_sibs: Vec<SEntry> = Vec::new();
+                for &(anc, inpage_depth, went_left) in &chain {
+                    if inpage_depth < j {
+                        continue;
                     }
-                    right_sibs.sort_unstable_by(|x, y| cmp_y(&y.p, &x.p));
-                    left_sibs.sort_unstable_by(|x, y| cmp_y(&y.p, &x.p));
-                    handles.push((
-                        BlockList::build(store, &right_sibs)?,
-                        BlockList::build(store, &left_sibs)?,
-                    ));
+                    // Tag with the *in-page* depth: within one page the
+                    // chain is a path, so in-page depth uniquely names the
+                    // ancestor, and the query walk can reconstruct it
+                    // without knowing absolute depths.
+                    let (sib, out) = if went_left {
+                        (mem.nodes[anc].right, &mut right_sibs)
+                    } else {
+                        (mem.nodes[anc].left, &mut left_sibs)
+                    };
+                    out.extend(
+                        mem.nodes[sib].points.iter().map(|&p| SEntry { p, depth: inpage_depth }),
+                    );
                 }
-                let id = store.alloc()?;
-                let used = {
-                    let mut w = PageWriter::new(&mut buf);
-                    w.put_u16(handles.len() as u16)?;
-                    for (right_sibs, left_sibs) in &handles {
-                        right_sibs.encode(&mut w)?;
-                        left_sibs.encode(&mut w)?;
-                    }
-                    w.position()
-                };
-                store.write(id, &buf[..used])?;
-                s_dir[node] = id;
+                right_sibs.sort_unstable_by(|x, y| cmp_y(&y.p, &x.p));
+                left_sibs.sort_unstable_by(|x, y| cmp_y(&y.p, &x.p));
+                let handles =
+                    (BlockList::build(store, &right_sibs)?, BlockList::build(store, &left_sibs)?);
+                dir.s_family.push(handles);
             }
 
             let mn = &mem.nodes[node];
             if mn.left != NONE {
                 for (child, went_left) in [(mn.left, true), (mn.right, false)] {
-                    let same_page = node_loc[child].0 == node_loc[node].0;
-                    let chain = if same_page {
+                    let chain = if node_loc[child].0 == node_loc[node].0 {
                         let mut c = chain.clone();
-                        c.push((node, depth, c.len() as u16, went_left));
+                        c.push((node, c.len() as u16, went_left));
                         c
                     } else {
                         Vec::new()
                     };
-                    stack.push(Frame { node: child, depth: depth + 1, chain });
+                    stack.push(Frame { node: child, chain });
                 }
             }
         }
 
+        write_node_pages(store, &mem, &node_ids, |i, w| dirs[i].encode(w))?;
+
         // Serialize skeletal pages.
+        let mut buf = vec![0u8; page_size];
         for (page_idx, members) in pages.iter().enumerate() {
             let used = {
                 let mut w = PageWriter::new(&mut buf);
@@ -306,7 +343,7 @@ impl ThreeSidedPst {
                             w.put_u16(s)?;
                         }
                     }
-                    w.put_u64(pts_ids[ni].0)?;
+                    w.put_u64(node_ids[ni].0)?;
                     w.put_u16(node.points.len() as u16)?;
                     if node.is_leaf() {
                         for _ in 0..2 {
@@ -314,16 +351,11 @@ impl ThreeSidedPst {
                             w.put_u16(0)?;
                         }
                     } else {
-                        w.put_u64(pts_ids[node.left].0)?;
-                        w.put_u16(mem.nodes[node.left].points.len() as u16)?;
-                        w.put_u64(pts_ids[node.right].0)?;
-                        w.put_u16(mem.nodes[node.right].points.len() as u16)?;
+                        for child in [node.left, node.right] {
+                            w.put_u64(node_ids[child].0)?;
+                            w.put_u16(mem.nodes[child].points.len() as u16)?;
+                        }
                     }
-                    a_desc[ni].encode(&mut w)?;
-                    w.put_u64(a_desc_dir[ni].0)?;
-                    a_asc[ni].encode(&mut w)?;
-                    w.put_u64(a_asc_dir[ni].0)?;
-                    w.put_u64(s_dir[ni].0)?;
                 }
                 w.position()
             };
@@ -343,6 +375,51 @@ impl ThreeSidedPst {
         self.n == 0
     }
 
+    /// Calls `f` on every page of the structure, each once: a skeletal
+    /// page, then per record its node page, that node's A-blocks and its
+    /// S-family lists, then the skeletal pages below.
+    fn for_each_page(
+        &self,
+        store: &PageStore,
+        mut f: impl FnMut(PageKind, PageId),
+    ) -> Result<()> {
+        let mut pending = vec![self.root_page];
+        while let Some(page_id) = pending.pop() {
+            f(PageKind::Skeletal, page_id);
+            let page = store.read(page_id)?;
+            let count = PageReader::new(&page).get_u16()?;
+            for slot in 0..count {
+                let rec = decode_record(&page, slot)?;
+                f(PageKind::Node, rec.own_pts);
+                let (_, dir) = read_node_page(store, rec.own_pts)?;
+                for &(_, _, block) in &dir.a_blocks {
+                    f(PageKind::ABlock, block);
+                }
+                for (right_sibs, left_sibs) in &dir.s_family {
+                    for list in [right_sibs, left_sibs] {
+                        for block in list.block_pages(store)? {
+                            f(PageKind::SBlock, block);
+                        }
+                    }
+                }
+                // A child at slot 0 of another page roots that page.
+                for child in [rec.left, rec.right] {
+                    if !child.page.is_null() && child.page != page_id && child.slot == 0 {
+                        pending.push(child.page);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Frees every page of the structure.
+    pub fn free(self, store: &PageStore) -> Result<()> {
+        let mut pages = Vec::new();
+        self.for_each_page(store, |_, id| pages.push(id))?;
+        pages.into_iter().try_for_each(|id| store.free(id))
+    }
+
     /// Answers a 3-sided query.
     pub fn query(&self, store: &PageStore, q: ThreeSided) -> Result<Vec<Point>> {
         Ok(self.query_counted(store, q)?.0)
@@ -356,11 +433,12 @@ impl ThreeSidedPst {
     ) -> Result<(Vec<Point>, QueryCounters)> {
         assert!(q.x1 <= q.x2, "3-sided query bounds out of order");
         let _span = pc_obs::span!("pst3_query");
-        pc_obs::set_block_capacity(points_capacity(store.page_size()) as u64);
+        let cap = node_capacity(store.page_size());
+        pc_obs::set_block_capacity(cap as u64);
         let mut ctx = TsCtx {
             store,
             q,
-            cap: points_capacity(store.page_size()) as u16,
+            cap: cap as u16,
             results: Vec::new(),
             counters: QueryCounters::default(),
         };
@@ -381,8 +459,7 @@ impl ThreeSidedPst {
             if is_corner {
                 // Everything below fails the y bound; the shared prefix is
                 // the whole relevant tree.
-                ctx.middle_run_desc(&rec, 0)?;
-                ctx.read_own(&rec, true)?;
+                ctx.shared_stop(&rec, inpage_depth, true)?;
                 return Ok((ctx.results, ctx.counters));
             }
             // Routing keys: qx1 = (x1, -inf, -inf), qx2 = (x2, +inf, +inf).
@@ -391,8 +468,7 @@ impl ThreeSidedPst {
             if left1 != left2 {
                 // Split node: middle-filter it and its covered ancestors,
                 // then walk each boundary independently.
-                ctx.middle_run_desc(&rec, 0)?;
-                ctx.read_own(&rec, false)?;
+                ctx.shared_stop(&rec, inpage_depth, false)?;
                 let thr_left = inpage_threshold(rec.left.page, cur_page_id, inpage_depth);
                 let thr_right = inpage_threshold(rec.right.page, cur_page_id, inpage_depth);
                 ctx.boundary_walk::<true>(rec.left, thr_left, cur_page_id, &page)?;
@@ -402,8 +478,7 @@ impl ThreeSidedPst {
             let next = if left1 { rec.left } else { rec.right };
             if next.page != cur_page_id {
                 // Shared-segment exit: middle contributions for this page.
-                ctx.middle_run_desc(&rec, 0)?;
-                ctx.read_own(&rec, false)?;
+                ctx.shared_stop(&rec, inpage_depth, false)?;
                 cur_page_id = next.page;
                 page = {
                     let _lvl = pc_obs::span!("level", ctx.counters.skeletal);
@@ -438,122 +513,82 @@ struct TsCtx<'a> {
 }
 
 impl TsCtx<'_> {
-    /// Reads a node's own block, filtering with the full predicate.
+    /// Reads a node page, returning its points that satisfy the full
+    /// predicate and its cache directory. The page is skipped when it can
+    /// hold nothing the walk needs: no points of its own, and no in-page
+    /// ancestor at depth `>= min_depth` for the A-run or the S-family.
     ///
     /// `output_scan` marks the corner's block (output-amortized); the
     /// per-segment exit and split-node reads are fixed search overhead.
-    fn read_own(&mut self, rec: &TsRecord, output_scan: bool) -> Result<()> {
-        if rec.own_cnt == 0 {
-            return Ok(());
+    fn read_node(
+        &mut self,
+        rec: &TsRecord,
+        inpage_depth: u16,
+        min_depth: u16,
+        output_scan: bool,
+    ) -> Result<(Vec<Point>, Directory)> {
+        if rec.own_cnt == 0 && inpage_depth <= min_depth {
+            return Ok((Vec::new(), Directory::default()));
         }
         let _scan = if output_scan {
             pc_obs::span!(output: "node_block")
         } else {
             pc_obs::span!("node_block")
         };
-        let before = self.results.len();
-        let pp = read_points_page(self.store, rec.own_pts)?;
+        let (mut points, dir) = read_node_page(self.store, rec.own_pts)?;
         self.counters.node_blocks += 1;
-        self.results.extend(pp.points.iter().filter(|p| self.q.contains(p)));
-        pc_obs::add_items((self.results.len() - before) as u64);
-        Ok(())
+        points.retain(|p| self.q.contains(p));
+        pc_obs::add_items(points.len() as u64);
+        Ok((points, dir))
     }
 
-    /// Middle-run scan of the descending A-list: directory-jump to the
-    /// first block containing `x <= x2`, then scan while `x >= x1`,
-    /// filtering the transition block. Entries from ancestors at in-page
-    /// depth `< min_depth` (shared prefix, already reported) are skipped.
-    fn middle_run_desc(&mut self, rec: &TsRecord, min_depth: u16) -> Result<()> {
-        if rec.a_desc.is_empty() {
+    /// Middle-run scan of the A-list: reads exactly the blocks the
+    /// directory shows meeting `[x1, x2]`, filtering each. Entries from
+    /// ancestors at in-page depth `< min_depth` (shared prefix, already
+    /// reported) are skipped.
+    fn middle_run(&mut self, dir: &Directory, min_depth: u16) -> Result<()> {
+        let ThreeSided { x1, x2, .. } = self.q;
+        let mut run = dir
+            .a_blocks
+            .iter()
+            .filter(|&&(max_x, min_x, _)| min_x <= x2 && max_x >= x1)
+            .peekable();
+        if run.peek().is_none() {
             return Ok(());
         }
-        // The directory jump is navigation I/O; only the run blocks are an
-        // output scan.
-        let dir = read_directory(self.store, rec.a_desc_dir)?;
-        self.counters.cache_blocks += 1;
-        // boundary_x is the block's smallest x (descending list): the first
-        // block whose minimum is <= x2 can contain qualifying entries.
-        let Some(start) = dir.iter().position(|&(bx, _)| bx <= self.q.x2) else {
-            return Ok(());
-        };
         let _probe = pc_obs::span!("path_cache_probe");
         pc_obs::set_block_capacity(BlockList::<SEntry>::capacity(self.store.page_size()) as u64);
         let before = self.results.len();
-        let mut next = dir[start].1;
-        'run: while !next.is_null() {
-            let (entries, nxt) = BlockList::<SEntry>::read_block(self.store, next)?;
+        for &(_, _, block) in run {
+            let (entries, _) = BlockList::<SEntry>::read_block(self.store, block)?;
             self.counters.cache_blocks += 1;
-            for e in entries {
-                if e.p.x < self.q.x1 {
-                    break 'run;
-                }
-                if e.p.x <= self.q.x2 && e.depth >= min_depth {
-                    self.results.push(e.p);
-                }
-            }
-            next = nxt;
+            self.results.extend(
+                entries
+                    .iter()
+                    .filter(|e| x1 <= e.p.x && e.p.x <= x2 && e.depth >= min_depth)
+                    .map(|e| e.p),
+            );
         }
         pc_obs::add_items((self.results.len() - before) as u64);
         Ok(())
     }
 
-    /// Middle-run scan of the ascending A-list (mirror of
-    /// [`Self::middle_run_desc`]).
-    fn middle_run_asc(&mut self, rec: &TsRecord, min_depth: u16) -> Result<()> {
-        if rec.a_asc.is_empty() {
-            return Ok(());
-        }
-        let dir = read_directory(self.store, rec.a_asc_dir)?;
-        self.counters.cache_blocks += 1;
-        // boundary_x is the block's largest x (ascending list).
-        let Some(start) = dir.iter().position(|&(bx, _)| bx >= self.q.x1) else {
-            return Ok(());
-        };
-        let _probe = pc_obs::span!("path_cache_probe");
-        pc_obs::set_block_capacity(BlockList::<SEntry>::capacity(self.store.page_size()) as u64);
-        let before = self.results.len();
-        let mut next = dir[start].1;
-        'run: while !next.is_null() {
-            let (entries, nxt) = BlockList::<SEntry>::read_block(self.store, next)?;
-            self.counters.cache_blocks += 1;
-            for e in entries {
-                if e.p.x > self.q.x2 {
-                    break 'run;
-                }
-                if e.p.x >= self.q.x1 && e.depth >= min_depth {
-                    self.results.push(e.p);
-                }
-            }
-            next = nxt;
-        }
-        pc_obs::add_items((self.results.len() - before) as u64);
-        Ok(())
-    }
-
-    /// Reads the S-family directory and drains `S_threshold`: a
+    /// Drains `S_threshold` (or `S'_threshold` on the right path): a
     /// descending-y prefix with per-depth counts, then seeds descendant
     /// traversals for fully-inside siblings.
     fn drain_s<const LEFT: bool>(
         &mut self,
-        rec: &TsRecord,
+        dir: &Directory,
         threshold: u16,
         sib: &HashMap<u16, (PageId, u16)>,
     ) -> Result<()> {
-        if rec.s_dir.is_null() {
+        let Some(&(right_sibs, left_sibs)) = dir.s_family.get(threshold as usize) else {
             return Ok(());
-        }
-        let page = self.store.read(rec.s_dir)?;
-        self.counters.cache_blocks += 1;
-        let mut r = PageReader::new(&page);
-        let count = r.get_u16()?;
-        if threshold >= count {
-            return Ok(());
-        }
-        // Entry j holds (S_j right-siblings, S'_j left-siblings).
-        r.skip(threshold as usize * 2 * BlockList::<SEntry>::ENCODED_LEN)?;
-        let right_sibs: BlockList<SEntry> = BlockList::decode(&mut r)?;
-        let left_sibs: BlockList<SEntry> = BlockList::decode(&mut r)?;
+        };
         let list = if LEFT { right_sibs } else { left_sibs };
+        if list.is_empty() {
+            return Ok(());
+        }
 
         let mut qualified: HashMap<u16, u16> = HashMap::new();
         {
@@ -587,6 +622,32 @@ impl TsCtx<'_> {
                 )?;
             }
         }
+        Ok(())
+    }
+
+    /// One shared-prefix stop (segment exit, split node or corner): the
+    /// node page and the A-run of every in-page ancestor.
+    fn shared_stop(&mut self, rec: &TsRecord, inpage_depth: u16, output_scan: bool) -> Result<()> {
+        let (own, dir) = self.read_node(rec, inpage_depth, 0, output_scan)?;
+        self.middle_run(&dir, 0)?;
+        self.results.extend(own);
+        Ok(())
+    }
+
+    /// One boundary-walk stop (segment exit or corner): the node page, the
+    /// A-run and the S-family drain below `threshold`.
+    fn boundary_stop<const LEFT: bool>(
+        &mut self,
+        rec: &TsRecord,
+        inpage_depth: u16,
+        threshold: u16,
+        sib: &HashMap<u16, (PageId, u16)>,
+        output_scan: bool,
+    ) -> Result<()> {
+        let (own, dir) = self.read_node(rec, inpage_depth, threshold, output_scan)?;
+        self.middle_run(&dir, threshold)?;
+        self.drain_s::<LEFT>(&dir, threshold, sib)?;
+        self.results.extend(own);
         Ok(())
     }
 
@@ -626,14 +687,7 @@ impl TsCtx<'_> {
             let is_leaf = rec.left.page.is_null();
             let is_corner = rec.own_cnt == 0 || rec.min_y.y < self.q.y0 || is_leaf;
             if is_corner {
-                if LEFT {
-                    self.middle_run_desc(&rec, threshold)?;
-                } else {
-                    self.middle_run_asc(&rec, threshold)?;
-                }
-                self.drain_s::<LEFT>(&rec, threshold, &sib)?;
-                self.read_own(&rec, true)?;
-                return Ok(());
+                return self.boundary_stop::<LEFT>(&rec, inpage_depth, threshold, &sib, true);
             }
             // Route by this walk's boundary.
             let go_left = if LEFT { self.q.x1 <= rec.split.x } else { self.q.x2 < rec.split.x };
@@ -647,15 +701,8 @@ impl TsCtx<'_> {
                 None
             };
             let next = if go_left { rec.left } else { rec.right };
-            let crosses = next.page != cur_page_id;
-            if crosses {
-                if LEFT {
-                    self.middle_run_desc(&rec, threshold)?;
-                } else {
-                    self.middle_run_asc(&rec, threshold)?;
-                }
-                self.drain_s::<LEFT>(&rec, threshold, &sib)?;
-                self.read_own(&rec, false)?;
+            if next.page != cur_page_id {
+                self.boundary_stop::<LEFT>(&rec, inpage_depth, threshold, &sib, false)?;
                 // The exit's inside sibling belongs to no S-list below it.
                 if let Some((pts, _)) = inside_sib {
                     traverse_descendants(
@@ -690,6 +737,12 @@ impl TsCtx<'_> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::{Arc, Mutex};
+
+    use pc_pagestore::backend::{Backend, MemBackend};
+    use pc_pagestore::store::CHECKSUM_LEN;
+    use pc_pagestore::StoreConfig;
+
     use super::*;
 
     fn xorshift(state: &mut u64, bound: i64) -> i64 {
@@ -824,5 +877,254 @@ mod tests {
         let log_b = 5u64;
         let bound = 6 * (20_000 / b) * log_b * log_b;
         assert!(pages <= bound, "space {pages} exceeds O(n/B log^2 B) ~ {bound}");
+    }
+
+    #[test]
+    fn geometry() {
+        assert_eq!(RECORD_LEN, 98);
+        assert_eq!((skeletal_capacity(512), node_capacity(512)), (3, 17));
+        assert_eq!((skeletal_capacity(1024), node_capacity(1024)), (6, 36));
+        assert_eq!((skeletal_capacity(2048), node_capacity(2048)), (13, 77));
+        assert_eq!((skeletal_capacity(4096), node_capacity(4096)), (26, 159));
+    }
+
+    #[test]
+    fn free_returns_every_page() {
+        let store = PageStore::in_memory(1024);
+        let before = store.live_pages();
+        let pst = ThreeSidedPst::build(&store, &random_points(5000, 10_000, 0x5ee)).unwrap();
+        let mut seen = std::collections::HashSet::new();
+        pst.for_each_page(&store, |_, id| assert!(seen.insert(id), "{id:?} visited twice"))
+            .unwrap();
+        assert_eq!(seen.len() as u64, store.live_pages() - before);
+        pst.free(&store).unwrap();
+        assert_eq!(store.live_pages(), before);
+    }
+
+    /// Backend that logs every frame it reads, so a test sees which pages
+    /// a query touched.
+    struct Recording {
+        inner: MemBackend,
+        reads: Arc<Mutex<Vec<PageId>>>,
+    }
+
+    impl Backend for Recording {
+        fn frame_size(&self) -> usize {
+            self.inner.frame_size()
+        }
+
+        fn read_frame(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
+            self.reads.lock().unwrap().push(id);
+            self.inner.read_frame(id, buf)
+        }
+
+        fn write_frame(&self, id: PageId, buf: &[u8]) -> Result<()> {
+            self.inner.write_frame(id, buf)
+        }
+
+        fn sync(&self) -> Result<()> {
+            self.inner.sync()
+        }
+
+        fn frame_count(&self) -> u64 {
+            self.inner.frame_count()
+        }
+    }
+
+    /// An A-block's x-range and the max x of the block after it.
+    struct ABlock {
+        max_x: i64,
+        min_x: i64,
+        next_max_x: Option<i64>,
+    }
+
+    /// A structure built on a recording store, with every page classified.
+    struct Recorded {
+        store: PageStore,
+        reads: Arc<Mutex<Vec<PageId>>>,
+        pst: ThreeSidedPst,
+        kinds: HashMap<PageId, PageKind>,
+        a_blocks: HashMap<PageId, ABlock>,
+    }
+
+    fn recorded(points: &[Point], page_size: usize) -> Recorded {
+        let reads = Arc::new(Mutex::new(Vec::new()));
+        let backend =
+            Recording { inner: MemBackend::new(page_size + CHECKSUM_LEN), reads: reads.clone() };
+        let store = PageStore::new(StoreConfig::strict(page_size), Box::new(backend));
+        let pst = ThreeSidedPst::build(&store, points).unwrap();
+        let mut kinds = HashMap::new();
+        pst.for_each_page(&store, |kind, id| {
+            kinds.insert(id, kind);
+        })
+        .unwrap();
+        let mut a_blocks = HashMap::new();
+        for (&id, &kind) in &kinds {
+            if kind != PageKind::Node {
+                continue;
+            }
+            let (_, dir) = read_node_page(&store, id).unwrap();
+            for (k, &(max_x, min_x, block)) in dir.a_blocks.iter().enumerate() {
+                let next_max_x = dir.a_blocks.get(k + 1).map(|b| b.0);
+                a_blocks.insert(block, ABlock { max_x, min_x, next_max_x });
+            }
+        }
+        Recorded { store, reads, pst, kinds, a_blocks }
+    }
+
+    /// How often the checked queries hit the block-boundary cases.
+    #[derive(Default)]
+    struct Seen {
+        /// A-block reads.
+        a_reads: usize,
+        /// Runs that ended on the last entry of a block whose successor
+        /// lies wholly below `x1`.
+        ends_on_boundary: usize,
+        /// Runs that began on the first entry of a block.
+        starts_on_boundary: usize,
+    }
+
+    impl Recorded {
+        /// Runs each query and checks the answer against brute force and
+        /// the reads against the directory: every page read belongs to the
+        /// structure and is a skeletal page, a node page, an A-block or an
+        /// S-block (there is no directory page to read); every A-block
+        /// read meets `[x1, x2]`; and the cache counter equals the A-block
+        /// plus S-block reads.
+        fn check(&self, points: &[Point], queries: &[ThreeSided]) -> Seen {
+            let mut seen = Seen::default();
+            for &q in queries {
+                self.reads.lock().unwrap().clear();
+                let (res, c) = self.pst.query_counted(&self.store, q).unwrap();
+                let want = brute(points, q);
+                assert_eq!(res.len(), want.len(), "duplicates at {q:?}");
+                assert_eq!(ids(res), want, "{q:?}");
+                let mut cache = 0;
+                for id in self.reads.lock().unwrap().iter() {
+                    match self.kinds.get(id) {
+                        Some(PageKind::ABlock) => {
+                            let b = &self.a_blocks[id];
+                            assert!(
+                                b.min_x <= q.x2 && b.max_x >= q.x1,
+                                "{q:?} read A-block [{}, {}], outside the run",
+                                b.min_x,
+                                b.max_x
+                            );
+                            cache += 1;
+                            seen.a_reads += 1;
+                            let gap_after = b.next_max_x.is_some_and(|m| m < b.min_x);
+                            seen.ends_on_boundary += usize::from(b.min_x == q.x1 && gap_after);
+                            seen.starts_on_boundary += usize::from(b.max_x == q.x2);
+                        }
+                        Some(PageKind::SBlock) => cache += 1,
+                        Some(PageKind::Skeletal | PageKind::Node) => {}
+                        None => panic!("{q:?} read {id:?}, which is no page of the structure"),
+                    }
+                }
+                assert_eq!(c.cache_blocks, cache, "{q:?}: cache reads are not run + S blocks");
+            }
+            seen
+        }
+    }
+
+    /// Queries whose run ends exactly on a block boundary (`x1` = a
+    /// block's min x, the next block wholly below it) or starts on one
+    /// (`x2` = a block's max x), at varied widths and heights.
+    fn boundary_queries(rec: &Recorded, domain: i64, seed: u64) -> Vec<ThreeSided> {
+        let mut s = seed;
+        let mut blocks: Vec<&ABlock> = rec.a_blocks.values().collect();
+        blocks.sort_by_key(|b| (b.max_x, b.min_x));
+        let mut queries = Vec::new();
+        for b in blocks {
+            let w = xorshift(&mut s, domain / 20);
+            let y0 = xorshift(&mut s, domain);
+            if b.next_max_x.is_some_and(|m| m < b.min_x) {
+                queries.push(ThreeSided { x1: b.min_x, x2: b.min_x + w, y0 });
+            }
+            queries.push(ThreeSided { x1: b.max_x - w, x2: b.max_x, y0 });
+        }
+        queries
+    }
+
+    #[test]
+    fn run_reads_exactly_the_blocks_meeting_the_band() {
+        let domain = 100_000;
+        let pts = random_points(20_000, domain, 0x3a11);
+        for page_size in [1024, 2048] {
+            let rec = recorded(&pts, page_size);
+            let seen = rec.check(&pts, &boundary_queries(&rec, domain, 0x51));
+            assert!(seen.ends_on_boundary > 0, "no run ended on a block boundary at {page_size}");
+            assert!(seen.starts_on_boundary > 0, "no run began on a block boundary");
+        }
+    }
+
+    #[test]
+    fn point_bands_with_x1_equal_to_x2() {
+        let pts = random_points(8000, 3000, 0xe0);
+        let mut s = 0xe1u64;
+        let queries: Vec<ThreeSided> = (0..300)
+            .map(|i| {
+                // Half the bands sit on an existing x, half anywhere.
+                let x = if i % 2 == 0 {
+                    pts[xorshift(&mut s, pts.len() as i64) as usize].x
+                } else {
+                    xorshift(&mut s, 3100) - 50
+                };
+                ThreeSided { x1: x, x2: x, y0: xorshift(&mut s, 3000) - 10 }
+            })
+            .collect();
+        for page_size in [512, 1024, 2048] {
+            let seen = recorded(&pts, page_size).check(&pts, &queries);
+            assert!(seen.a_reads > 0, "no point band read an A-block at {page_size}");
+        }
+    }
+
+    #[test]
+    fn duplicate_x_straddling_a_block_boundary() {
+        // 40 distinct x values over 6000 points: every A-list block
+        // boundary falls inside a run of equal x.
+        let mut s = 0xd0u64;
+        let pts: Vec<Point> = (0..6000)
+            .map(|id| Point::new(xorshift(&mut s, 40) * 10, xorshift(&mut s, 50_000), id))
+            .collect();
+        for page_size in [1024, 2048] {
+            let rec = recorded(&pts, page_size);
+            let straddles: Vec<i64> = rec
+                .a_blocks
+                .values()
+                .filter(|b| b.next_max_x == Some(b.min_x))
+                .map(|b| b.min_x)
+                .collect();
+            assert!(!straddles.is_empty(), "no x value straddles a block boundary");
+            let mut queries = Vec::new();
+            for (i, &x) in straddles.iter().enumerate() {
+                let y0 = xorshift(&mut s, 50_000);
+                queries.push(ThreeSided { x1: x, x2: x, y0 });
+                queries.push(ThreeSided { x1: x, x2: x + 10 * (i as i64 % 4), y0 });
+                queries.push(ThreeSided { x1: x - 10 * (i as i64 % 3), x2: x, y0 });
+            }
+            rec.check(&pts, &queries);
+        }
+    }
+
+    #[test]
+    fn narrow_bands_filter_shared_ancestors_on_both_boundaries() {
+        // Narrow bands split deep inside skeletal pages, so both boundary
+        // walks start below the split in its own page and must drop the
+        // A-entries of the shared ancestors (depth threshold); the right
+        // walk scans the same descending A-list as the left one.
+        let domain = 50_000;
+        let pts = random_points(12_000, domain, 0x7e);
+        let mut s = 0x7fu64;
+        let queries: Vec<ThreeSided> = (0..400)
+            .map(|_| {
+                let a = xorshift(&mut s, domain);
+                let w = 1 + xorshift(&mut s, 400);
+                ThreeSided { x1: a, x2: a + w, y0: xorshift(&mut s, domain) - 100 }
+            })
+            .collect();
+        for page_size in [512, 1024, 2048] {
+            recorded(&pts, page_size).check(&pts, &queries);
+        }
     }
 }

@@ -9,7 +9,7 @@
 # Both instrumentation modes are exercised: the default build (pc-obs
 # compiled to no-ops) and `--features obs` (live tracing/metrics).
 #
-# Usage: scripts/verify.sh [--bench] [--chaos] [--cluster] [--crash] [--mvcc] [--serve] [--layout] [--obs]
+# Usage: scripts/verify.sh [--bench] [--chaos] [--cluster] [--crash] [--mvcc] [--serve] [--layout] [--obs] [--perfbench]
 #   --bench   additionally run the perf-trajectory benchmarks:
 #             * pool_scaling, refreshing BENCH_pool.json;
 #             * obs_overhead in both modes, merging the two reports into
@@ -59,6 +59,10 @@
 #               Prometheus text parses, the structured stats carry the
 #               service and per-target families, and the slow-query log
 #               drained entries with span trees.
+#   --perfbench additionally smoke the repo's benchmark (BENCHMARK.json):
+#             run each of its four workloads once, 5 seconds at a fixed
+#             seed with the traced run off, under a hard timeout. A nonzero
+#             exit, or a result line without "correct":true, is a failure.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -71,6 +75,7 @@ RUN_MVCC=0
 RUN_SERVE=0
 RUN_LAYOUT=0
 RUN_OBS=0
+RUN_PERFBENCH=0
 for arg in "$@"; do
     case "$arg" in
         --bench) RUN_BENCH=1 ;;
@@ -81,7 +86,8 @@ for arg in "$@"; do
         --serve) RUN_SERVE=1 ;;
         --layout) RUN_LAYOUT=1 ;;
         --obs) RUN_OBS=1 ;;
-        *) echo "unknown argument: $arg (supported: --bench, --chaos, --cluster, --crash, --mvcc, --serve, --layout, --obs)" >&2; exit 2 ;;
+        --perfbench) RUN_PERFBENCH=1 ;;
+        *) echo "unknown argument: $arg (supported: --bench, --chaos, --cluster, --crash, --mvcc, --serve, --layout, --obs, --perfbench)" >&2; exit 2 ;;
     esac
 done
 
@@ -491,4 +497,29 @@ print(f'scrape ok: {scrape["final"]["metrics_families"]} families, '
       f'{len(scrape["final"]["slowlog"])} slowlog entries')
 PY
     echo "OK: observability gates passed (off-mode cost, sampling A/B, scrape block)"
+fi
+
+if [ "$RUN_PERFBENCH" = 1 ]; then
+    # The benchmark's own command (BENCHMARK.json), shortened: every
+    # workload must build, serve, and answer every checked read correctly.
+    # The hard timeout turns a wedged server or load loop into a failure.
+    PERFBENCH=(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --)
+    cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml
+    for w in static_hot static_cold mixed_durable cluster_scatter; do
+        echo "==> perfbench --workload $w --seed 7 --seconds 5 --trace 0 (hard timeout 300s)"
+        OUT="$(mktemp)"
+        TMPF="$TMPF $OUT"
+        if ! timeout 300 "${PERFBENCH[@]}" --workload "$w" --seed 7 --seconds 5 --trace 0 >"$OUT"; then
+            echo "ERROR: perfbench $w exited nonzero or timed out" >&2
+            tail -n 20 "$OUT" >&2
+            exit 1
+        fi
+        RESULT="$(tail -n 1 "$OUT")"
+        if [[ "$RESULT" != *'"correct":true'* ]]; then
+            echo "ERROR: perfbench $w did not report \"correct\":true: $RESULT" >&2
+            exit 1
+        fi
+        echo "    $RESULT"
+    done
+    echo "OK: perfbench smoke passed on all four workloads"
 fi
